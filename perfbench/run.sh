@@ -13,8 +13,8 @@ if [[ ! -f "$root/go.mod" || ! -f "$root/perfbench/go.mod" ]]; then
 	exit 2
 fi
 build="$root/.bench_build"
-mkdir -p "$build"
-export GOCACHE="$build/gocache" GOPATH="$build/gopath" XDG_CONFIG_HOME="$build/config"
+mkdir -p "$build/tmp"
+export GOCACHE="$build/gocache" GOPATH="$build/gopath" GOTMPDIR="$build/tmp" XDG_CONFIG_HOME="$build/config"
 export GOTOOLCHAIN=local GOENV=off GOWORK=off
 
 (cd "$root/perfbench" && go build -o "$build/perfbench" .)
