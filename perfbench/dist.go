@@ -216,7 +216,11 @@ func runDistOnce(seed uint64, secs float64, traced bool, tr *tracer, parent int)
 	h.Observe(func(ev engine.Event) {
 		if ev.Kind == engine.EventNodeDrain {
 			cpu.readNode(ev.Node)
-			drained <- time.Now()
+			// Observers run under the handle's lock: never block here.
+			select {
+			case drained <- time.Now():
+			default:
+			}
 		}
 	})
 	if traced {
