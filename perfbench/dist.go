@@ -311,21 +311,39 @@ func runDist(p params) (*outcome, error) {
 	if secs < 4 {
 		secs = 4
 	}
+	// Set-up (listener, engine, three agent spawns) is timed three times
+	// before and twice after the run, so the median spans the run's stretch
+	// of machine time. One untimed build first absorbs the fresh process's
+	// first-use costs.
 	var setups []float64
-	sp := p.tr.begin("setup: dist.BuildScenario x5", 1)
-	for i := 0; i < 5; i++ {
-		d, err := timeDistSetup(subSeed(p.seed, 100+i))
-		if err != nil {
-			return nil, err
+	timeSetups := func(n int, timed bool) error {
+		sp := p.tr.begin(fmt.Sprintf("setup: dist.BuildScenario x%d", n), 1)
+		defer p.tr.end(sp)
+		for i := 0; i < n; i++ {
+			d, err := timeDistSetup(subSeed(p.seed, 100+i))
+			if err != nil {
+				return err
+			}
+			if timed {
+				setups = append(setups, d.Seconds())
+			}
 		}
-		setups = append(setups, d.Seconds())
+		return nil
 	}
-	p.tr.end(sp)
+	if err := timeSetups(1, false); err != nil {
+		return nil, err
+	}
+	if err := timeSetups(3, true); err != nil {
+		return nil, err
+	}
 
-	sp = p.tr.begin("run unobserved", 1)
+	sp := p.tr.begin("run unobserved", 1)
 	res, err := runDistOnce(p.seed, secs, false, nil, 0)
 	p.tr.end(sp)
 	if err != nil {
+		return nil, err
+	}
+	if err := timeSetups(2, true); err != nil {
 		return nil, err
 	}
 	checkDist(out, res)

@@ -30,6 +30,16 @@ func sharedLayers(out *outcome, tr *tracer, keys int, skew float64, z int) {
 		fn()
 		tr.end(id)
 	}
+	if _, ok := out.metrics["proc.ref_kernel_ms"]; !ok {
+		// The machine's speed while the wall-clock layers were timed.
+		timed("refKernel", func() {
+			var ks []float64
+			for i := 0; i < 15; i++ {
+				ks = append(ks, ms(refKernel()))
+			}
+			out.set("proc.ref_kernel_ms", median(ks), "ms")
+		})
+	}
 	rng := simtime.NewRand(7)
 	zipf := workload.NewZipf(keys, skew, rng)
 	var sink stream.Key
@@ -239,6 +249,7 @@ var perLayer = []struct{ name, unit string }{
 	{"obs.anomalies", "count"},
 	{"proc.gc_cycles", "count"},
 	{"proc.gc_cpu_pct", "%"},
+	{"proc.ref_kernel_ms", "ms"},
 }
 
 // endToEnd is the untraced run's metric set, in BENCHMARK.json order.

@@ -315,30 +315,46 @@ func runRT(p params) (*outcome, error) {
 	if secs < 3 {
 		secs = 3
 	}
-	// Set-up is cheap here; time several constructions for a steady median.
-	var setups []float64
+	// Set-up is cheap here: time many constructions, half before and half
+	// after the run, so the median spans the run's stretch of machine time.
+	// The first constructions in a fresh process fault in memory and run
+	// several times slower; untimed ones absorb that first.
 	keys := wordKeys(p.seed)
-	sp := p.tr.begin("setup: runtime.New x31", 1)
-	for i := 0; i < 31; i++ {
-		t0 := time.Now()
-		wc := &wordCount{keys: keys}
-		cfg, err := wordCountConfig(wc, p.seed)
-		if err != nil {
-			return nil, err
+	var setups []float64
+	timeSetups := func(n int, timed bool) error {
+		sp := p.tr.begin(fmt.Sprintf("setup: runtime.New x%d", n), 1)
+		defer p.tr.end(sp)
+		for i := 0; i < n; i++ {
+			t0 := time.Now()
+			cfg, err := wordCountConfig(&wordCount{keys: keys}, p.seed)
+			if err != nil {
+				return err
+			}
+			rt, err := runtime.New(cfg, runtime.Options{})
+			if err != nil {
+				return err
+			}
+			_ = run.NewRuntime(rt, time.Second)
+			if timed {
+				setups = append(setups, time.Since(t0).Seconds())
+			}
 		}
-		rt, err := runtime.New(cfg, runtime.Options{})
-		if err != nil {
-			return nil, err
-		}
-		_ = run.NewRuntime(rt, time.Second)
-		setups = append(setups, time.Since(t0).Seconds())
+		return nil
 	}
-	p.tr.end(sp)
+	if err := timeSetups(5, false); err != nil {
+		return nil, err
+	}
+	if err := timeSetups(16, true); err != nil {
+		return nil, err
+	}
 
-	sp = p.tr.begin("run unobserved", 1)
+	sp := p.tr.begin("run unobserved", 1)
 	res, err := runWordCount(p.seed, secs, false)
 	p.tr.end(sp)
 	if err != nil {
+		return nil, err
+	}
+	if err := timeSetups(15, true); err != nil {
 		return nil, err
 	}
 	checkWordCount(out, res)

@@ -69,6 +69,7 @@ type simRun struct {
 	gcCPU   float64
 	snapDur []time.Duration
 	obs     *observers // traced sub-runs only
+	speed   float64    // refKernel time over refNominal, just before the run
 }
 
 // runSimOnce builds and runs one scenario instance. An observed sub-run
@@ -147,8 +148,8 @@ func runSim(p params) (*outcome, error) {
 	want := strings.TrimSpace(simFingerprint)
 	out.check(got == want, "sim fingerprint for seed %d:\n got  %s\n want %s", simRefSeed, got, want)
 
-	// Set-up: engine construction, placement and scenario wiring, timed in
-	// the warm process many times and reported as the median.
+	// Set-up: engine construction, placement and scenario wiring, timed
+	// back to back in the warmed-up process and reported as the median.
 	var setups []float64
 	sp = p.tr.begin("setup: scenario.Spec.Build x31", 1)
 	for i := 0; i < 31; i++ {
@@ -166,12 +167,14 @@ func runSim(p params) (*outcome, error) {
 		// A traced invocation observes every other sub-run; the untraced
 		// ones between them are its overhead baseline.
 		traced := p.trace && i%2 == 1
+		k := refKernel()
 		sp := p.tr.begin(fmt.Sprintf("sub-run %d observed=%v", i, traced), 1)
 		r, err := runSimOnce(spec, subSeed(p.seed, i), traced)
 		p.tr.end(sp)
 		if err != nil {
 			return nil, err
 		}
+		r.speed = float64(k) / float64(refNominal)
 		out.check(len(r.rep.ChurnErrors) == 0, "sub-run %d churn errors: %v", i, r.rep.ChurnErrors)
 		out.check(r.rep.NodeDrains == 1, "sub-run %d: %d drains, want 1", i, r.rep.NodeDrains)
 		out.check(r.rep.LostStateBytes == 0, "sub-run %d lost %d state bytes in a graceful drain", i, r.rep.LostStateBytes)
@@ -184,8 +187,9 @@ func runSim(p params) (*outcome, error) {
 	var offered, refused int64
 	var allocs, rates, cpus []float64
 	for i, r := range runs {
-		rates = append(rates, float64(r.tuples)/r.wall.Seconds())
-		cpus = append(cpus, float64(r.cpu)/float64(r.tuples))
+		// Times at the reference speed (see refKernel).
+		rates = append(rates, float64(r.tuples)/r.wall.Seconds()*r.speed)
+		cpus = append(cpus, float64(r.cpu)/float64(r.tuples)/r.speed)
 		if i < simDetRuns {
 			lat.Merge(r.rep.Latency)
 			stages.Merge(r.rep.LatencyStages)
@@ -220,7 +224,7 @@ func runSim(p params) (*outcome, error) {
 // deterministic sub-run set (odd sub-runs carry the observers).
 func simLayers(out *outcome, tr *tracer, spec *scenario.Spec, runs []simRun, lat *metrics.Histogram, stages *metrics.StageSet) {
 	var events, tuples, alloc, reassign, inter, migB int64
-	var evRates, snaps, decisions, gcs, plainCPU, tracedCPU, traceBytes []float64
+	var evRates, snaps, decisions, gcs, plainCPU, tracedCPU, traceBytes, kernels []float64
 	var anomalies float64
 	for _, r := range runs {
 		events += int64(r.rep.Events)
@@ -230,10 +234,11 @@ func simLayers(out *outcome, tr *tracer, spec *scenario.Spec, runs []simRun, lat
 		inter += r.rep.InterNodeReassigns
 		migB += r.rep.MigrationBytes
 		gcs = append(gcs, float64(r.gc))
+		kernels = append(kernels, r.speed*ms(refNominal))
 		for _, d := range r.rep.SchedulingWall {
 			decisions = append(decisions, us(d))
 		}
-		cpu := float64(r.cpu) / float64(r.tuples)
+		cpu := float64(r.cpu) / float64(r.tuples) / r.speed
 		if r.obs == nil {
 			evRates = append(evRates, float64(r.rep.Events)/r.wall.Seconds())
 			plainCPU = append(plainCPU, cpu)
@@ -266,6 +271,7 @@ func simLayers(out *outcome, tr *tracer, spec *scenario.Spec, runs []simRun, lat
 	out.set("obs.overhead_pct", 100*(median(tracedCPU)/median(plainCPU)-1), "%")
 	out.set("proc.gc_cycles", median(gcs), "count")
 	out.set("proc.gc_cpu_pct", 100*runs[len(runs)-1].gcCPU, "%")
+	out.set("proc.ref_kernel_ms", median(kernels), "ms")
 	latencyLayers(out, lat, stages)
 
 	wl := spec.ResolvedWorkload()
