@@ -147,7 +147,6 @@ func zombie(stat []byte) bool {
 
 // drain is one measured graceful drain.
 type drain struct {
-	node  int
 	start time.Time
 	end   time.Time
 	bytes int64
@@ -259,7 +258,7 @@ func runDistOnce(seed uint64, secs float64, traced bool, tr *tracer, parent int)
 			select {
 			case t1 := <-drained:
 				tr.end(sp)
-				res.drains = append(res.drains, drain{node: dr.node, start: t0, end: t1,
+				res.drains = append(res.drains, drain{start: t0, end: t1,
 					bytes: h.Snapshot().MigrationBytes - before})
 			case <-h.Done():
 				drainErr <- fmt.Errorf("run ended during the drain of node %d", dr.node)
