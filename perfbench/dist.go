@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/run"
 	"repro/internal/runtime"
 	"repro/internal/scenario"
@@ -268,7 +269,10 @@ func runDistOnce(seed uint64, secs float64, traced bool, tr *tracer, parent int)
 		drainErr <- nil
 	}()
 
-	res.win, err = measure(h, dur, distWarmup, cpu.total)
+	res.win, err = measure(h, dur, distWarmup, probes{agents: cpu.total, hist: func() *metrics.Histogram {
+		lat, _ := d.LatencyAnatomy()
+		return lat
+	}})
 	if err != nil {
 		return res, err
 	}
@@ -310,29 +314,28 @@ func runDist(p params) (*outcome, error) {
 	if secs < 4 {
 		secs = 4
 	}
-	// Set-up (listener, engine, three agent spawns) is timed three times
-	// before and twice after the run, so the median spans the run's stretch
-	// of machine time. One untimed build first absorbs the fresh process's
-	// first-use costs.
-	var setups []float64
-	timeSetups := func(n int, timed bool) error {
-		sp := p.tr.begin(fmt.Sprintf("setup: dist.BuildScenario x%d", n), 1)
+	// Set-up (listener, engine, three agent spawns) is timed in blocks of
+	// two builds, three blocks before and two after the run, so the median
+	// spans the run's stretch of machine time. One untimed build first
+	// absorbs the fresh process's first-use costs.
+	var setup setupTimer
+	timeSetups := func(blocks, n int, s *setupTimer) error {
+		sp := p.tr.begin(fmt.Sprintf("setup: dist.BuildScenario, %d blocks x%d", blocks, n), 1)
 		defer p.tr.end(sp)
-		for i := 0; i < n; i++ {
-			d, err := timeDistSetup(subSeed(p.seed, 100+i))
+		for i := 0; i < blocks; i++ {
+			err := s.block(n, func() (time.Duration, error) {
+				return timeDistSetup(subSeed(p.seed, 100+i))
+			})
 			if err != nil {
 				return err
-			}
-			if timed {
-				setups = append(setups, d.Seconds())
 			}
 		}
 		return nil
 	}
-	if err := timeSetups(1, false); err != nil {
+	if err := timeSetups(1, 1, &setupTimer{}); err != nil {
 		return nil, err
 	}
-	if err := timeSetups(3, true); err != nil {
+	if err := timeSetups(3, 2, &setup); err != nil {
 		return nil, err
 	}
 
@@ -342,7 +345,7 @@ func runDist(p params) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := timeSetups(2, true); err != nil {
+	if err := timeSetups(2, 2, &setup); err != nil {
 		return nil, err
 	}
 	checkDist(out, res)
@@ -351,10 +354,13 @@ func runDist(p params) (*outcome, error) {
 	out.failed = l.Blocked + l.DroppedFailure + l.DroppedShutdown
 
 	if !p.trace {
-		out.set("setup_s", median(setups), "s")
+		out.set("setup_s", setup.seconds(), "s")
 		wallE2E(out, res.win)
-		out.set("lat_p50_ms", ms(histQuantile(res.rep.Latency, 0.5)), "ms")
-		out.set("lat_p90_ms", ms(histQuantile(res.rep.Latency, 0.9)), "ms")
+		// Each second's quantiles, raw: they are bound by the agents'
+		// timer sleeps and RPC round trips and do not follow the reference
+		// pipeline. The median second leaves the drains' pauses out.
+		out.set("lat_p50_ms", median(res.win.histQ(0.5)), "ms")
+		out.set("lat_p90_ms", median(res.win.histQ(0.9)), "ms")
 		out.set("delivered_pct", deliveredPct(l), "%")
 		return out, nil
 	}

@@ -14,9 +14,9 @@ import (
 // allocations, pointer chasing and a sort — timed right before each sub-run.
 // Scaling a sub-run by refNominal/refKernel() states its times at one
 // reference speed; a change to the program moves them exactly as it moves
-// the raw times, because the kernel is not program code. The wall-clock
-// backends are wake-up-bound rather than CPU-bound and do not follow the
-// kernel, so their metrics stay raw.
+// the raw times, because the kernel is not program code. Set-up blocks are
+// scaled the same way. The wall-clock backends are wake-up-bound as much as
+// CPU-bound and follow the reference pipeline (refpipe.go) instead.
 
 // refNominal is the kernel's time at the reference speed: its typical time
 // on the 2-vCPU VM the benchmark was calibrated on. Any constant would do;

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sync/atomic"
 	"time"
 
@@ -194,94 +197,55 @@ func (o *observers) report(out *outcome) {
 	out.check(o.rec.Err() == nil, "trace recorder: %v", o.rec.Err())
 }
 
-// perLayer is the traced run's metric set, in BENCHMARK.json order. Every
-// traced run reports each of them; a layer its workload does not exercise
-// reads 0 (README.md lists which).
-var perLayer = []struct{ name, unit string }{
-	{"engine.events", "count"},
-	{"engine.events_per_s", "1/s"},
-	{"engine.events_per_tuple", "ratio"},
-	{"engine.alloc_b_per_event", "B"},
-	{"simtime.event_ns", "ns"},
-	{"workload.sample_ns", "ns"},
-	{"metrics.observe_ns", "ns"},
-	{"metrics.stage_observe_ns", "ns"},
-	{"metrics.lat_samples", "count"},
-	{"metrics.lat_p99_ms", "ms"},
-	{"metrics.stage_share_queue", "ratio"},
-	{"metrics.stage_share_service", "ratio"},
-	{"metrics.stage_share_migration", "ratio"},
-	{"metrics.stage_share_repartition", "ratio"},
-	{"executor.reassignments", "count"},
-	{"executor.inter_node_reassignments", "count"},
-	{"balancer.rebalance_us", "us"},
-	{"scheduler.decisions", "count"},
-	{"scheduler.decision_us_p50", "us"},
-	{"scheduler.decision_us_max", "us"},
-	{"scheduler.assign_us_32n", "us"},
-	{"state.migration_mb", "MB"},
-	{"state.access_ns", "ns"},
-	{"runtime.batches", "count"},
-	{"runtime.tuples_per_batch", "ratio"},
-	{"runtime.source_lag_pct", "%"},
-	{"runtime.refused", "count"},
-	{"runtime.dropped_shutdown", "count"},
-	{"runtime.cores", "count"},
-	{"runtime.utilization", "ratio"},
-	{"runtime.alloc_b_per_tuple", "B"},
-	{"dist.process_rtt_us_p50", "us"},
-	{"dist.process_rtt_us_p99", "us"},
-	{"dist.process_send_enqueue_us", "us"},
-	{"dist.process_wire_us", "us"},
-	{"dist.process_agent_queue_us", "us"},
-	{"dist.process_agent_service_us", "us"},
-	{"dist.process_reply_us", "us"},
-	{"dist.rpcs_per_tuple", "ratio"},
-	{"dist.rpc_errors", "count"},
-	{"dist.control_cpu_ns_per_tuple", "ns"},
-	{"dist.agent_cpu_ns_per_tuple", "ns"},
-	{"dist.control_rtt_us", "us"},
-	{"dist.move_ms", "ms"},
-	{"dist.migrate_mb_per_s", "MB/s"},
-	{"run.snapshot_us", "us"},
-	{"obs.overhead_pct", "%"},
-	{"obs.trace_bytes", "B"},
-	{"obs.anomalies", "count"},
-	{"proc.gc_cycles", "count"},
-	{"proc.gc_cpu_pct", "%"},
-	{"proc.ref_kernel_ms", "ms"},
+// declared is one metric as BENCHMARK.json lists it.
+type declared struct {
+	Name string `json:"name"`
+	Unit string `json:"unit"`
 }
 
-// endToEnd is the untraced run's metric set, in BENCHMARK.json order.
-var endToEnd = []struct{ name, unit string }{
-	{"setup_s", "s"},
-	{"tuples_per_s", "1/s"},
-	{"cpu_ns_per_tuple", "ns"},
-	{"lat_p50_ms", "ms"},
-	{"lat_p90_ms", "ms"},
-	{"delivered_pct", "%"},
-	{"alloc_b_per_tuple", "B"},
+// benchmarkFile is the benchmark's declaration at the repository root, the
+// working directory of every run.
+const benchmarkFile = "BENCHMARK.json"
+
+// declaredMetrics reads the end-to-end or per-layer metric set from
+// BENCHMARK.json.
+func declaredMetrics(traced bool) ([]declared, error) {
+	b, err := os.ReadFile(benchmarkFile)
+	if err != nil {
+		return nil, err
+	}
+	var f struct {
+		EndToEnd []declared `json:"end_to_end"`
+		PerLayer []declared `json:"per_layer"`
+	}
+	if err := json.Unmarshal(b, &f); err != nil {
+		return nil, fmt.Errorf("%s: %v", benchmarkFile, err)
+	}
+	set := f.EndToEnd
+	if traced {
+		set = f.PerLayer
+	}
+	if len(set) == 0 {
+		return nil, fmt.Errorf("%s declares no metrics for trace=%v", benchmarkFile, traced)
+	}
+	return set, nil
 }
 
-// complete checks a run's metrics against its declared set: a name outside
+// complete checks a run's metrics against the declared set: a name outside
 // the set or a wrong unit is a benchmark bug; a per-layer metric the
 // workload does not exercise is filled with 0, an end-to-end one missing
 // fails the run.
-func complete(out *outcome, traced bool) {
-	set := endToEnd
-	if traced {
-		set = perLayer
-	}
+func complete(out *outcome, set []declared, traced bool) {
 	known := make(map[string]string, len(set))
 	for _, m := range set {
-		known[m.name] = m.unit
-		if _, ok := out.metrics[m.name]; ok {
+		known[m.Name] = m.Unit
+		if _, ok := out.metrics[m.Name]; ok {
 			continue
 		}
 		if traced {
-			out.set(m.name, 0, m.unit)
+			out.set(m.Name, 0, m.Unit)
 		} else {
-			out.check(false, "metric %s not measured", m.name)
+			out.check(false, "metric %s not measured", m.Name)
 		}
 	}
 	for name, m := range out.metrics {

@@ -85,6 +85,7 @@ const spanDir = ".bench_build/spans"
 func main() {
 	// Distributed runs re-execute this binary as their per-node agents.
 	dist.MainIfAgent()
+	refPipeMain()
 
 	workload := flag.String("workload", "", "workload name (sim-elastic, rt-wordcount, dist-drain)")
 	seed := flag.Uint64("seed", 1, "input seed")
@@ -107,11 +108,17 @@ func main() {
 		os.Exit(2)
 	}
 
+	set, err := declaredMetrics(*trace == 1)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfbench: %v (run from the repository root)\n", err)
+		os.Exit(2)
+	}
+
 	// A hang is a failed run, not a stuck benchmark: report it and exit.
 	limit := time.Duration(*seconds*float64(time.Second)) + hangBudget
 	watchdog := time.AfterFunc(limit, func() {
 		fmt.Fprintf(os.Stderr, "perfbench: %s did not finish within %v\n", *workload, limit)
-		emit(result{Correct: false, Attempted: 1, Failed: 1, Metrics: map[string]metric{}})
+		emit(failedRun)
 		os.Exit(3)
 	})
 
@@ -124,18 +131,19 @@ func main() {
 	p.tr.end(root)
 	watchdog.Stop()
 	if err != nil {
+		// A hang, an early end or a lost agent is a failed run.
 		fmt.Fprintf(os.Stderr, "perfbench: %s: %v\n", *workload, err)
+		emit(failedRun)
 		os.Exit(1)
 	}
 	if p.trace {
 		path, err := p.tr.write(spanDir, *workload, *seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perfbench: write spans: %v\n", err)
-			os.Exit(1)
+		out.check(err == nil, "write spans: %v", err)
+		if err == nil {
+			fmt.Fprintf(os.Stderr, "perfbench: spans in %s\n", path)
 		}
-		fmt.Fprintf(os.Stderr, "perfbench: spans in %s\n", path)
 	}
-	complete(out, *trace == 1)
+	complete(out, set, p.trace)
 	for _, p := range out.problems {
 		fmt.Fprintf(os.Stderr, "perfbench: check failed: %s\n", p)
 	}
@@ -146,6 +154,10 @@ func main() {
 		Metrics:   out.metrics,
 	})
 }
+
+// failedRun is the verdict of a run that errored or hung before it could
+// be measured.
+var failedRun = result{Correct: false, Attempted: 1, Failed: 1, Metrics: map[string]metric{}}
 
 func emit(r result) {
 	b, err := json.Marshal(r)

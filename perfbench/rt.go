@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/run"
 	"repro/internal/runtime"
@@ -47,7 +48,6 @@ type wordCount struct {
 	accessNS []float64     // sampled State.Get+Set costs, ns (traced runs)
 	timed    atomic.Uint64 // handler calls seen, for the access-time stride
 	probe    bool          // time State access (traced runs only)
-	window   atomic.Bool   // latency samples are kept only inside the window
 	keys     []stream.Key  // pre-generated from the seed
 	next     atomic.Uint64 // source cursor into keys
 	start    time.Time     // payload stamps are offsets from here
@@ -99,13 +99,20 @@ func (w *wordCount) handle(t stream.Tuple, s stream.StateAccessor) []stream.Tupl
 		w.accessNS = append(w.accessNS, float64(d))
 		w.mu.Unlock()
 	}
-	if born, ok := t.Payload.(time.Duration); ok && w.window.Load() {
+	if born, ok := t.Payload.(time.Duration); ok {
 		d := time.Since(w.start) - born
 		w.mu.Lock()
 		w.lat = append(w.lat, ms(d))
 		w.mu.Unlock()
 	}
 	return nil
+}
+
+// latCount is the number of latency samples so far.
+func (w *wordCount) latCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.lat)
 }
 
 // total sums every counter; call after the run has finished.
@@ -148,10 +155,12 @@ func wordCountConfig(w *wordCount, seed uint64) (engine.Config, error) {
 	}, nil
 }
 
-// window is the measured interval of a wall-clock run, from warm-up end to
+// window is the measured stretch of a wall-clock run, from warm-up end to
 // one second before the horizon, so start-up and the shutdown drain stay
-// outside. CPU (this process plus every agent), processed tuples and heap
-// allocation are read at every second inside it.
+// outside. It is cut into one-second intervals; CPU (this process plus
+// every agent), processed tuples and heap allocation are summed over them.
+// The reference pipeline (refpipe.go) runs beside the run, and its CPU share
+// in an interval is how slow the machine was in that interval.
 type window struct {
 	wall      time.Duration
 	cpu       time.Duration
@@ -161,13 +170,19 @@ type window struct {
 	alloc     uint64
 	gc        uint32
 	gcCPU     float64
-	// cpuPerTuple holds one CPU-ns-per-tuple value per second of the
-	// window; their median ignores a neighbour's short burst on a shared
-	// machine, which the whole-window ratio would absorb.
-	cpuPerTuple []float64
-	cores       []float64 // allocated cores, one sample per second
-	util        []float64
-	snapUS      []float64 // Run.Snapshot call durations
+	// Per interval that processed tuples: CPU ns and heap bytes allocated
+	// per tuple, the machine's slowness (the reference pipeline's CPU share
+	// over refPipeNominal) and the interval's range of latency samples.
+	cpuPerTuple   []float64
+	allocPerTuple []float64
+	slowness      []float64
+	latFrom       []int
+	latTo         []int
+	histFrom      []*metrics.Histogram
+	histTo        []*metrics.Histogram
+	cores         []float64 // allocated cores, one sample per interval
+	util          []float64
+	snapUS        []float64 // Run.Snapshot call durations
 }
 
 // reading is one instant of a window.
@@ -175,17 +190,39 @@ type reading struct {
 	at        time.Time
 	cpu       time.Duration
 	agentCPU  time.Duration
+	refCPU    time.Duration
 	processed int64
 	offered   int64
+	lat       int                // latency samples so far
+	hist      *metrics.Histogram // cumulative latency histogram
 	mem       memSample
 	snap      engine.Snapshot
 	snapDur   time.Duration
 }
 
-func readNow(h *run.Run, agents func() time.Duration) reading {
-	r := reading{at: time.Now(), cpu: selfCPU(), mem: readMem()}
-	if agents != nil {
-		r.agentCPU = agents()
+// probes are what a reading asks besides the run handle, any of which may
+// be nil: the agents' CPU, the count of the benchmark's own latency samples,
+// and the backend's cumulative latency histogram.
+type probes struct {
+	agents func() time.Duration
+	lat    func() int
+	hist   func() *metrics.Histogram
+}
+
+func readNow(h *run.Run, ref *refPipe, pr probes) (reading, error) {
+	refCPU, err := ref.cpu()
+	if err != nil {
+		return reading{}, fmt.Errorf("reference pipeline: %v", err)
+	}
+	r := reading{at: time.Now(), cpu: selfCPU(), refCPU: refCPU, mem: readMem()}
+	if pr.agents != nil {
+		r.agentCPU = pr.agents()
+	}
+	if pr.lat != nil {
+		r.lat = pr.lat()
+	}
+	if pr.hist != nil {
+		r.hist = pr.hist()
 	}
 	t0 := time.Now()
 	r.snap = h.Snapshot()
@@ -197,56 +234,109 @@ func readNow(h *run.Run, agents func() time.Duration) reading {
 		}
 	}
 	r.offered += r.snap.Blocked
-	return r
+	return r, nil
 }
 
-// measure waits out a started wall-clock run of d, reading the window once
-// per second (each reading polls Run.Snapshot). It returns when the run is
-// done, or errors when the run overruns horizon plus drain budget.
-func measure(h *run.Run, d, warm time.Duration, agents func() time.Duration) (window, error) {
-	var w window
+// measure waits out a started wall-clock run of d beside the reference
+// pipeline, reading the window once per second (each reading polls
+// Run.Snapshot). It returns when the run is done, or errors when the run
+// overruns horizon plus drain budget.
+func measure(h *run.Run, d, warm time.Duration, pr probes) (w window, err error) {
 	start := time.Now()
+	ref, err := startRefPipe()
+	if err != nil {
+		return w, err
+	}
+	defer func() {
+		if stopErr := ref.stop(); err == nil && stopErr != nil {
+			err = fmt.Errorf("reference pipeline: %v", stopErr)
+		}
+	}()
 	bound := d + 30*time.Second
 	timeout := time.NewTimer(bound)
 	defer timeout.Stop()
-	var rs []reading
+	var prev reading
 	for at := warm; at <= d-time.Second; at += time.Second {
 		select {
 		case <-time.After(time.Until(start.Add(at))):
 		case <-h.Done():
 			return w, fmt.Errorf("run ended %v early", d-time.Since(start))
 		}
-		r := readNow(h, agents)
-		if len(rs) > 0 {
-			p := rs[len(rs)-1]
-			if n := r.processed - p.processed; n > 0 {
-				cpu := r.cpu - p.cpu + r.agentCPU - p.agentCPU
-				w.cpuPerTuple = append(w.cpuPerTuple, float64(cpu)/float64(n))
-			}
-			w.snapUS = append(w.snapUS, float64(r.snapDur)/float64(time.Microsecond))
-			w.cores = append(w.cores, float64(r.snap.UsedCores))
-			w.util = append(w.util, r.snap.Utilization)
+		r, err := readNow(h, ref, pr)
+		if err != nil {
+			return w, err
 		}
-		rs = append(rs, r)
+		if at > warm {
+			w.add(prev, r)
+		}
+		prev = r
 	}
 	select {
 	case <-h.Done():
 	case <-timeout.C:
 		return w, fmt.Errorf("run did not return within %v", bound)
 	}
-	if len(rs) < 2 {
+	if len(w.cpuPerTuple) == 0 {
 		return w, fmt.Errorf("run of %v leaves no measured window", d)
 	}
-	a, b := rs[0], rs[len(rs)-1]
-	w.wall = b.at.Sub(a.at)
-	w.cpu = b.cpu - a.cpu + b.agentCPU - a.agentCPU
-	w.agentCPU = b.agentCPU - a.agentCPU
-	w.processed = b.processed - a.processed
-	w.offered = b.offered - a.offered
-	w.alloc = b.mem.totalAlloc - a.mem.totalAlloc
-	w.gc = b.mem.numGC - a.mem.numGC
-	w.gcCPU = b.mem.gcCPU
 	return w, nil
+}
+
+// add folds the interval from a to b into w.
+func (w *window) add(a, b reading) {
+	wall := b.at.Sub(a.at)
+	cpu := b.cpu - a.cpu + b.agentCPU - a.agentCPU
+	n := b.processed - a.processed
+	w.wall += wall
+	w.cpu += cpu
+	w.agentCPU += b.agentCPU - a.agentCPU
+	w.processed += n
+	w.offered += b.offered - a.offered
+	w.alloc += b.mem.totalAlloc - a.mem.totalAlloc
+	w.gc += b.mem.numGC - a.mem.numGC
+	w.gcCPU = b.mem.gcCPU
+	if n > 0 && b.refCPU > a.refCPU {
+		w.cpuPerTuple = append(w.cpuPerTuple, float64(cpu)/float64(n))
+		w.allocPerTuple = append(w.allocPerTuple, float64(b.mem.totalAlloc-a.mem.totalAlloc)/float64(n))
+		share := float64(b.refCPU-a.refCPU) / float64(wall)
+		w.slowness = append(w.slowness, share/refPipeNominal)
+		w.latFrom = append(w.latFrom, a.lat)
+		w.latTo = append(w.latTo, b.lat)
+		w.histFrom = append(w.histFrom, a.hist)
+		w.histTo = append(w.histTo, b.hist)
+	}
+	w.snapUS = append(w.snapUS, float64(b.snapDur)/float64(time.Microsecond))
+	w.cores = append(w.cores, float64(b.snap.UsedCores))
+	w.util = append(w.util, b.snap.Utilization)
+}
+
+// latQ is the q-quantile of each interval's latency samples.
+func (w window) latQ(lat []float64, q float64) []float64 {
+	out := make([]float64, len(w.latFrom))
+	for i := range out {
+		out[i] = quantile(lat[w.latFrom[i]:w.latTo[i]], q)
+	}
+	return out
+}
+
+// histQ is the q-quantile of each interval's latencies in the backend's
+// histogram, in ms.
+func (w window) histQ(q float64) []float64 {
+	out := make([]float64, len(w.histFrom))
+	for i := range out {
+		out[i] = ms(deltaQuantile(w.histFrom[i], w.histTo[i], q))
+	}
+	return out
+}
+
+// atRef states per-interval times at the reference speed, each divided by
+// its interval's slowness, and returns their median.
+func (w window) atRef(vals []float64) float64 {
+	xs := make([]float64, len(vals))
+	for i, v := range vals {
+		xs[i] = v / w.slowness[i]
+	}
+	return median(xs)
 }
 
 // rtResult is one wall-clock wordcount run.
@@ -275,20 +365,7 @@ func runWordCount(seed uint64, secs float64, traced bool) (rtResult, error) {
 		res.obs = attachObservers(h, "runtime", seed, rt.Ledger)
 	}
 	h.Start(context.Background())
-	go func() {
-		// Latency samples count only inside the CPU window.
-		select {
-		case <-time.After(rtWarmup):
-			wc.window.Store(true)
-		case <-h.Done():
-		}
-		select {
-		case <-time.After(d - rtWarmup - time.Second):
-			wc.window.Store(false)
-		case <-h.Done():
-		}
-	}()
-	res.win, err = measure(h, d, rtWarmup, nil)
+	res.win, err = measure(h, d, rtWarmup, probes{lat: wc.latCount})
 	if err != nil {
 		return res, err
 	}
@@ -315,17 +392,14 @@ func runRT(p params) (*outcome, error) {
 	if secs < 3 {
 		secs = 3
 	}
-	// Set-up is cheap here: time many constructions, half before and half
-	// after the run, so the median spans the run's stretch of machine time.
-	// The first constructions in a fresh process fault in memory and run
-	// several times slower; untimed ones absorb that first.
+	// Set-up is timed in blocks of back-to-back constructions, five before
+	// and four after the run, so the median spans the run's stretch of
+	// machine time. The first constructions in a fresh process fault in
+	// memory and run several times slower; an untimed block absorbs that.
 	keys := wordKeys(p.seed)
-	var setups []float64
-	timeSetups := func(n int, timed bool) error {
-		sp := p.tr.begin(fmt.Sprintf("setup: runtime.New x%d", n), 1)
-		defer p.tr.end(sp)
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
+	var setup setupTimer
+	build := func() (time.Duration, error) {
+		return stopwatch(func() error {
 			cfg, err := wordCountConfig(&wordCount{keys: keys}, p.seed)
 			if err != nil {
 				return err
@@ -335,16 +409,23 @@ func runRT(p params) (*outcome, error) {
 				return err
 			}
 			_ = run.NewRuntime(rt, time.Second)
-			if timed {
-				setups = append(setups, time.Since(t0).Seconds())
+			return nil
+		})
+	}
+	timeSetups := func(blocks int, s *setupTimer) error {
+		sp := p.tr.begin(fmt.Sprintf("setup: runtime.New, %d blocks x50", blocks), 1)
+		defer p.tr.end(sp)
+		for i := 0; i < blocks; i++ {
+			if err := s.block(50, build); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	if err := timeSetups(5, false); err != nil {
+	if err := timeSetups(1, &setupTimer{}); err != nil {
 		return nil, err
 	}
-	if err := timeSetups(16, true); err != nil {
+	if err := timeSetups(5, &setup); err != nil {
 		return nil, err
 	}
 
@@ -354,7 +435,7 @@ func runRT(p params) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := timeSetups(15, true); err != nil {
+	if err := timeSetups(4, &setup); err != nil {
 		return nil, err
 	}
 	checkWordCount(out, res)
@@ -363,10 +444,10 @@ func runRT(p params) (*outcome, error) {
 	out.failed = l.Blocked + l.DroppedFailure + l.DroppedShutdown
 
 	if !p.trace {
-		out.set("setup_s", median(setups), "s")
+		out.set("setup_s", setup.seconds(), "s")
 		wallE2E(out, res.win)
-		out.set("lat_p50_ms", quantile(res.wc.lat, 0.5), "ms")
-		out.set("lat_p90_ms", quantile(res.wc.lat, 0.9), "ms")
+		out.set("lat_p50_ms", res.win.atRef(res.win.latQ(res.wc.lat, 0.5)), "ms")
+		out.set("lat_p90_ms", res.win.atRef(res.win.latQ(res.wc.lat, 0.9)), "ms")
 		out.set("delivered_pct", deliveredPct(l), "%")
 		return out, nil
 	}
@@ -383,7 +464,7 @@ func runRT(p params) (*outcome, error) {
 	runtimeLayers(out, tr.win, tr.rep, tr.ledger, rtRate)
 	out.set("state.access_ns", median(tr.wc.accessNS), "ns")
 	latencyLayers(out, tr.rep.Latency, tr.rep.LatencyStages)
-	out.set("metrics.lat_p99_ms", quantile(tr.wc.lat, 0.99), "ms")
+	out.set("metrics.lat_p99_ms", tr.win.atRef(tr.win.latQ(tr.wc.lat, 0.99)), "ms")
 	sharedLayers(out, p.tr, rtKeys, rtSkew, 64)
 	return out, nil
 }
@@ -397,10 +478,15 @@ func checkWordCount(out *outcome, r rtResult) {
 }
 
 // wallE2E sets the end-to-end rate, CPU and allocation metrics of a window.
+// Allocation is the median second's. On rt the program allocates in a burst
+// every few seconds that grows with the run (about 1 MB by the end of a
+// 20 s run), so where the bursts fall moves the whole-window ratio
+// (runtime.alloc_b_per_tuple) by up to 8% between runs; the median second
+// moves by under 1%.
 func wallE2E(out *outcome, w window) {
 	out.set("tuples_per_s", float64(w.processed)/w.wall.Seconds(), "1/s")
-	out.set("cpu_ns_per_tuple", median(w.cpuPerTuple), "ns")
-	out.set("alloc_b_per_tuple", float64(w.alloc)/float64(w.processed), "B")
+	out.set("cpu_ns_per_tuple", w.atRef(w.cpuPerTuple), "ns")
+	out.set("alloc_b_per_tuple", median(w.allocPerTuple), "B")
 }
 
 // deliveredPct is the share of offered tuples that were neither refused at
@@ -413,7 +499,7 @@ func deliveredPct(l runtime.Ledger) float64 {
 
 // overheadPct compares CPU per tuple with observation on and off.
 func overheadPct(plain, traced window) float64 {
-	return 100 * (median(traced.cpuPerTuple)/median(plain.cpuPerTuple) - 1)
+	return 100 * (traced.atRef(traced.cpuPerTuple)/plain.atRef(plain.cpuPerTuple) - 1)
 }
 
 func runtimeLayers(out *outcome, w window, rep *engine.Report, l runtime.Ledger, rate float64) {
@@ -429,6 +515,7 @@ func runtimeLayers(out *outcome, w window, rep *engine.Report, l runtime.Ledger,
 	out.set("run.snapshot_us", median(w.snapUS), "us")
 	out.set("proc.gc_cycles", float64(w.gc), "count")
 	out.set("proc.gc_cpu_pct", 100*w.gcCPU, "%")
+	out.set("proc.ref_pipe_cpu_pct", 100*refPipeNominal*median(w.slowness), "%")
 	var decisions []float64
 	for _, d := range rep.SchedulingWall {
 		decisions = append(decisions, us(d))

@@ -148,16 +148,21 @@ func runSim(p params) (*outcome, error) {
 	want := strings.TrimSpace(simFingerprint)
 	out.check(got == want, "sim fingerprint for seed %d:\n got  %s\n want %s", simRefSeed, got, want)
 
-	// Set-up: engine construction, placement and scenario wiring, timed
-	// back to back in the warmed-up process and reported as the median.
-	var setups []float64
-	sp = p.tr.begin("setup: scenario.Spec.Build x31", 1)
-	for i := 0; i < 31; i++ {
-		t0 := time.Now()
-		if _, err := spec.Build(simPolicy, subSeed(p.seed, 100+i)); err != nil {
+	// Set-up: engine construction, placement and scenario wiring, timed in
+	// the warmed-up process, in blocks of back-to-back builds.
+	var setup setupTimer
+	sp = p.tr.begin("setup: scenario.Spec.Build, 9 blocks x50", 1)
+	for b, i := 0, 0; b < 9; b++ {
+		err := setup.block(50, func() (time.Duration, error) {
+			i++
+			return stopwatch(func() error {
+				_, err := spec.Build(simPolicy, subSeed(p.seed, 100+i))
+				return err
+			})
+		})
+		if err != nil {
 			return nil, err
 		}
-		setups = append(setups, time.Since(t0).Seconds())
 	}
 	p.tr.end(sp)
 
@@ -207,7 +212,7 @@ func runSim(p params) (*outcome, error) {
 	}
 
 	if !p.trace {
-		out.set("setup_s", median(setups), "s")
+		out.set("setup_s", setup.seconds(), "s")
 		out.set("tuples_per_s", median(rates), "1/s")
 		out.set("cpu_ns_per_tuple", median(cpus), "ns")
 		out.set("lat_p50_ms", ms(histQuantile(lat, 0.50)), "ms")

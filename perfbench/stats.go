@@ -10,6 +10,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 )
@@ -53,44 +54,54 @@ func bucketUpper(b int) time.Duration {
 // returns the bucket's upper edge, so a median near an edge jumps by a whole
 // bucket (10%) between otherwise identical runs; interpolation removes that.
 func histQuantile(h *metrics.Histogram, q float64) time.Duration {
-	n := h.Count()
+	return cumQuantile(h.CumulativeLE, h.Count(), q, h.Min(), h.Max())
+}
+
+// deltaQuantile is the q-quantile of the samples a cumulative histogram
+// gained from snapshot a to snapshot b.
+func deltaQuantile(a, b *metrics.Histogram, q float64) time.Duration {
+	cum := func(d time.Duration) uint64 { return b.CumulativeLE(d) - a.CumulativeLE(d) }
+	return cumQuantile(cum, b.Count()-a.Count(), q, 0, b.Max())
+}
+
+// cumQuantile interpolates the q-quantile of n samples whose count at or
+// below each bucket's upper edge is cum, inside [lo, hi].
+func cumQuantile(cum func(time.Duration) uint64, n uint64, q float64, lo, hi time.Duration) time.Duration {
 	if n == 0 {
 		return 0
 	}
 	target := q * float64(n)
 	var prev uint64
 	for b := 0; b < histBuckets; b++ {
-		cum := h.CumulativeLE(bucketUpper(b))
-		if float64(cum) >= target && cum > prev {
-			lo := time.Duration(0)
+		c := cum(bucketUpper(b))
+		if float64(c) >= target && c > prev {
+			from := time.Duration(0)
 			if b > 0 {
-				lo = bucketUpper(b - 1)
+				from = bucketUpper(b - 1)
 			}
-			hi := bucketUpper(b)
-			if lo < h.Min() {
-				lo = h.Min()
-			}
-			if hi > h.Max() {
-				hi = h.Max()
-			}
-			frac := (target - float64(prev)) / float64(cum-prev)
-			return lo + time.Duration(frac*float64(hi-lo))
+			to := bucketUpper(b)
+			from, to = max(from, lo), min(to, hi)
+			frac := (target - float64(prev)) / float64(c-prev)
+			return from + time.Duration(frac*float64(to-from))
 		}
-		prev = cum
+		prev = c
 	}
-	return h.Max()
+	return hi
 }
 
 // ms converts a duration to float milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// selfCPU is the user+system CPU time this process has used so far.
+// selfCPU is the user+system CPU time this process has used so far, to the
+// nanosecond (getrusage counts in whole scheduler ticks on some kernels).
 func selfCPU() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+	var ts syscall.Timespec
+	const clockProcessCPUTimeID = 2 // CLOCK_PROCESS_CPUTIME_ID
+	if _, _, e := syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockProcessCPUTimeID,
+		uintptr(unsafe.Pointer(&ts)), 0); e != 0 {
 		return 0
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return time.Duration(ts.Nano())
 }
 
 // clockTicks is USER_HZ, the unit of utime/stime in /proc/<pid>/stat; it is
@@ -149,4 +160,39 @@ func timeOp(reps, n int, fn func()) time.Duration {
 		per[r] = float64(time.Since(t0)) / float64(n)
 	}
 	return time.Duration(median(per))
+}
+
+// setupTimer times a workload's set-up in blocks of back-to-back builds.
+// A single build takes well under a millisecond on the in-process backends,
+// too short to time steadily; a block is long enough. Each block is stated
+// at the reference speed by the refKernel run right before it, like the
+// simulator's rates, and setup_s is the median block's time per build.
+type setupTimer struct {
+	perBuild []float64 // seconds per build, one per block
+}
+
+// block times n builds; each build reports the part of its time that is
+// set-up (a dist build excludes tearing its fleet down again).
+func (s *setupTimer) block(n int, build func() (time.Duration, error)) error {
+	k := refKernel()
+	var took time.Duration
+	for i := 0; i < n; i++ {
+		d, err := build()
+		if err != nil {
+			return err
+		}
+		took += d
+	}
+	s.perBuild = append(s.perBuild, took.Seconds()/float64(n)*float64(refNominal)/float64(k))
+	return nil
+}
+
+// seconds is the median block's set-up time per build.
+func (s *setupTimer) seconds() float64 { return median(s.perBuild) }
+
+// stopwatch returns how long fn took.
+func stopwatch(fn func() error) (time.Duration, error) {
+	t0 := time.Now()
+	err := fn()
+	return time.Since(t0), err
 }
