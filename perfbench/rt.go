@@ -239,8 +239,9 @@ func readNow(h *run.Run, ref *refPipe, pr probes) (reading, error) {
 
 // measure waits out a started wall-clock run of d beside the reference
 // pipeline, reading the window once per second (each reading polls
-// Run.Snapshot). It returns when the run is done, or errors when the run
-// overruns horizon plus drain budget.
+// Run.Snapshot), and sets the offered rate to 0 after the last reading. It
+// returns when the run is done, or errors when the run overruns horizon
+// plus drain budget.
 func measure(h *run.Run, d, warm time.Duration, pr probes) (w window, err error) {
 	start := time.Now()
 	ref, err := startRefPipe()
@@ -270,6 +271,14 @@ func measure(h *run.Run, d, warm time.Duration, pr probes) (w window, err error)
 			w.add(prev, r)
 		}
 		prev = r
+	}
+	// The window is over: silence the sources for the last second, so the
+	// shutdown drain at the horizon finds no source mid-emission. The
+	// runtime drops a tick's tuples when its drain ends while a source is
+	// still emitting (ROADMAP item 1); offered tuples the benchmark loses
+	// that way would make `failed` vary from run to run.
+	if err := h.Inject(engine.SetRateCmd(0)); err != nil {
+		return w, fmt.Errorf("quiesce the sources: %v", err)
 	}
 	select {
 	case <-h.Done():
