@@ -384,6 +384,7 @@ func runDist(p params) (*outcome, error) {
 
 func checkDist(out *outcome, r distResult) {
 	l := r.ledger
+	reportLoss(l)
 	out.check(l.Conserved(), "dist ledger not conserved: %v", l)
 	out.check(r.rep.LostStateBytes == 0, "graceful drains lost %d state bytes", r.rep.LostStateBytes)
 	out.check(r.rep.NodeDrains == len(distDrains), "%d drains, want %d", r.rep.NodeDrains, len(distDrains))
